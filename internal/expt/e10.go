@@ -80,11 +80,34 @@ func measure(name string, procs, states, traces int, fn func(workers int)) ParMe
 	return m
 }
 
+// parShape sizes the parallel-engine sweep's workloads.
+type parShape struct {
+	procs, states       int // the large single trace
+	intervals           int // false-intervals per process of the control workload
+	batchTraces, batchN int // batch layer: traces, states per trace
+	slices              []sliceWorkload
+	sliceStates         int // the slice sweep's large tractability trace
+}
+
+// fullParShape is the acceptance shape: n=32 processes, p=128
+// false-intervals, ≈16k states.
+var fullParShape = parShape{
+	procs: 32, states: 16000, intervals: 128, batchTraces: 16, batchN: 2400,
+	slices: sliceWorkloads, sliceStates: 16000,
+}
+
+// e10Shape sizes the sweep the E10 table renders. The package tests
+// shrink it: they check the table's metadata and shape, not its
+// timings, and the full sweep stays in `make baseline` and pcbench.
+var e10Shape = fullParShape
+
 // MeasureParallel runs the full parallel-engine sweep: single-trace
 // sharding on large traces (the acceptance shape n=32 processes,
 // p=128 false-intervals, ≈16k states) plus the batch layer over many
 // mid-size traces.
-func MeasureParallel(seed int64) *Baseline {
+func MeasureParallel(seed int64) *Baseline { return measureParallel(seed, fullParShape) }
+
+func measureParallel(seed int64, sh parShape) *Baseline {
 	r := rand.New(rand.NewSource(seed))
 	// Every measured pass runs inside an obs span with allocation
 	// tracking, so the baseline can attribute wall time and heap churn
@@ -110,24 +133,24 @@ func MeasureParallel(seed int64) *Baseline {
 	force := func(w int) detect.Par { return detect.Par{Workers: w, Cutoff: 1} }
 
 	// Single large trace, message-rich: clock construction + detection.
-	bigBuilder := deposet.RandomBuilder(r, deposet.DefaultGen(32, 16000))
+	bigBuilder := deposet.RandomBuilder(r, deposet.DefaultGen(sh.procs, sh.states))
 	big := bigBuilder.MustBuild()
 	truthLow := deposet.RandomTruth(r, big, 0.05)
 	truthHigh := deposet.RandomTruth(r, big, 0.6)
 	b.Results = append(b.Results,
-		measure("deposet-build/clocks", 32, big.NumStates(), 0, func(w int) {
+		measure("deposet-build/clocks", sh.procs, big.NumStates(), 0, func(w int) {
 			reg.Span("clock_build", func() {
 				if _, err := bigBuilder.BuildParallel(w); err != nil {
 					panic(err)
 				}
 			})
 		}),
-		measure("detect-possibly", 32, big.NumStates(), 0, func(w int) {
+		measure("detect-possibly", sh.procs, big.NumStates(), 0, func(w int) {
 			reg.Span("detect_possibly", func() {
 				detect.PossiblyTruthPar(big, func(p, k int) bool { return truthLow[p][k] }, force(w))
 			})
 		}),
-		measure("detect-definitely", 32, big.NumStates(), 0, func(w int) {
+		measure("detect-definitely", sh.procs, big.NumStates(), 0, func(w int) {
 			reg.Span("detect_definitely", func() {
 				detect.DefinitelyTruthPar(big, func(p, k int) bool { return truthHigh[p][k] }, force(w))
 			})
@@ -160,9 +183,9 @@ func MeasureParallel(seed int64) *Baseline {
 	)
 
 	// Off-line control on the acceptance workload n=32, p=128.
-	cd, cdj := intervalWorkload(32, 128)
+	cd, cdj := intervalWorkload(sh.procs, sh.intervals)
 	b.Results = append(b.Results,
-		measure("offline-control n=32 p=128", 32, cd.NumStates(), 0, func(w int) {
+		measure(fmt.Sprintf("offline-control n=%d p=%d", sh.procs, sh.intervals), sh.procs, cd.NumStates(), 0, func(w int) {
 			reg.Span("offline_control", func() {
 				if _, err := offline.Control(cd, cdj, offline.Options{Par: force(w)}); err != nil {
 					panic(err)
@@ -172,13 +195,13 @@ func MeasureParallel(seed int64) *Baseline {
 
 	// Batch layer of the predctl facade: many mid-size traces analyzed
 	// concurrently (the shape of the E1/E2 sweeps).
-	const traces = 16
+	traces := sh.batchTraces
 	ds := make([]*predctl.Computation, traces)
 	qs := make([]*predctl.Conjunction, traces)
 	djs := make([]*predicate.Disjunction, traces)
 	states := 0
 	for i := range ds {
-		d := deposet.Random(r, deposet.DefaultGen(8, 2400))
+		d := deposet.Random(r, deposet.DefaultGen(8, sh.batchN))
 		ds[i] = d
 		cj := predctl.NewConjunction(d.NumProcs())
 		qt := deposet.RandomTruth(r, d, 0.1)
@@ -236,7 +259,7 @@ func E10(seed int64) *Table {
 			"workload", "procs", "states", "traces", "1w", "2w", "4w", "speedup@4",
 		},
 	}
-	base := MeasureParallel(seed)
+	base := measureParallel(seed, e10Shape)
 	for _, m := range base.Results {
 		traces := "-"
 		if m.Traces > 0 {
@@ -246,7 +269,7 @@ func E10(seed int64) *Table {
 			nsString(m.NsPerOp["1"]), nsString(m.NsPerOp["2"]), nsString(m.NsPerOp["4"]),
 			fmt.Sprintf("%.2fx", m.Speedup4))
 	}
-	SliceRows(t, seed)
+	sliceRows(t, measureSlice(seed, e10Shape))
 	t.Note("host: %d CPU(s), GOMAXPROCS=%d, %s — speedups are bounded by available cores",
 		base.NumCPU, base.GOMAXPROCS, base.GoVersion)
 	t.Note("sequential cross-validation: every parallel path is property-tested")

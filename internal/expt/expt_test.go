@@ -8,7 +8,20 @@ import (
 
 // TestAllExperimentsRun smoke-tests every experiment end to end and
 // checks the structural invariants of the rendered tables.
+// smallE10 shrinks the E10 sweep for the tests below, which check table
+// metadata and shape rather than timings; the full sweep runs in `make
+// baseline` (and TestBaselineJSONShape).
+func smallE10(t *testing.T) {
+	full := e10Shape
+	e10Shape = parShape{
+		procs: 8, states: 800, intervals: 16, batchTraces: 4, batchN: 400,
+		slices: sliceWorkloads[:1], sliceStates: 800,
+	}
+	t.Cleanup(func() { e10Shape = full })
+}
+
 func TestAllExperimentsRun(t *testing.T) {
+	smallE10(t)
 	tables := All(7)
 	if len(tables) != 10 {
 		t.Fatalf("experiments = %d, want 10", len(tables))
@@ -33,6 +46,7 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
+	smallE10(t)
 	for _, id := range []string{"e1", "E3", "e7", "e9", "e10", "E10"} {
 		if ByID(id, 3) == nil {
 			t.Errorf("ByID(%q) = nil", id)

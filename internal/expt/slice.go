@@ -115,6 +115,12 @@ func keySet(cuts []deposet.Cut) string {
 
 // MeasureSlice runs the slicing sweep.
 func MeasureSlice(seed int64) *SliceBaseline {
+	return measureSlice(seed, fullParShape)
+}
+
+// measureSlice runs the sweep over sh's slice workloads and its
+// procs×sliceStates tractability trace.
+func measureSlice(seed int64, sh parShape) *SliceBaseline {
 	r := rand.New(rand.NewSource(seed))
 	b := &SliceBaseline{
 		Schema:     1,
@@ -134,7 +140,7 @@ func MeasureSlice(seed int64) *SliceBaseline {
 	}
 	force := func(w int) detect.Par { return detect.Par{Workers: w, Cutoff: 1} }
 
-	for _, wl := range sliceWorkloads {
+	for _, wl := range sh.slices {
 		d := deposet.Random(r, deposet.DefaultGen(wl.procs, wl.events))
 		dj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, d, wl.density))
 		bexpr := dj.Expr()
@@ -189,7 +195,7 @@ func MeasureSlice(seed int64) *SliceBaseline {
 	// astronomically beyond enumeration, but the polynomial slice paths
 	// (construction, possibly-witness, control feasibility) answer
 	// directly. Sequential and 4-worker construction must agree.
-	big := deposet.Random(r, deposet.DefaultGen(32, 16000))
+	big := deposet.Random(r, deposet.DefaultGen(sh.procs, sh.sliceStates))
 	bigDj := predicate.DisjunctionFromTruth(deposet.RandomTruth(r, big, 0.9))
 	bigB := predicate.Not(bigDj.Expr()) // regular: ∧p ¬lp
 	tab, ok := predicate.RegularTable(bigB, big)
@@ -197,7 +203,7 @@ func MeasureSlice(seed int64) *SliceBaseline {
 		panic("big workload not regular")
 	}
 	m := SliceMeasurement{
-		Name:  "slice-control n=32 (lattice not enumerable)",
+		Name:  fmt.Sprintf("slice-control n=%d (lattice not enumerable)", sh.procs),
 		Procs: big.NumProcs(), States: big.NumStates(),
 		SliceNs: make(map[string]int64, len(ParWorkers)),
 	}
@@ -267,9 +273,8 @@ func SliceBaselineJSON(seed int64) ([]byte, error) {
 	return append(doc, '\n'), nil
 }
 
-// SliceRows appends the slicing sweep to the E10 table.
-func SliceRows(t *Table, seed int64) {
-	base := MeasureSlice(seed)
+// sliceRows appends the slicing sweep to the E10 table.
+func sliceRows(t *Table, base *SliceBaseline) {
 	for _, m := range base.Results {
 		lattice := "n/a"
 		if m.LatticeCuts > 0 {

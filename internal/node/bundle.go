@@ -24,38 +24,19 @@ func AssembleBundle(dir string) (*deposet.Deposet, *store.Manifest, error) {
 	if man.N < 1 {
 		return nil, nil, fmt.Errorf("node: bundle %s: manifest n=%d", dir, man.N)
 	}
-	opsByProc := make([][]wire.TraceOp, 2*man.N)
-	addOp := func(op wire.TraceOp) error {
-		p := int(op.Proc)
-		if p < 0 || p >= 2*man.N {
-			return fmt.Errorf("node: bundle %s: trace op for process %d of %d", dir, p, 2*man.N)
-		}
-		opsByProc[p] = append(opsByProc[p], op)
-		return nil
-	}
+	f := newCaptureFold(man.N, false)
 	if _, err := store.ReplayBundle(dir, func(rec wire.SegmentRecord, _ uint64, m wire.Msg) error {
-		if rec.Epoch != man.Epoch {
-			return nil
-		}
-		switch v := m.(type) {
-		case wire.Trace:
-			for _, op := range v.Ops {
-				if err := addOp(op); err != nil {
-					return err
-				}
-			}
-		case wire.TraceOpBatch:
-			for _, op := range v.Ops {
-				if err := addOp(op); err != nil {
-					return err
-				}
-			}
+		if rec.Epoch == man.Epoch {
+			f.add(m)
 		}
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	d, err := assemble(man.N, opsByProc)
+	if f.dropped > 0 {
+		return nil, nil, fmt.Errorf("node: bundle %s: %d trace ops name a process outside 0..%d", dir, f.dropped, 2*man.N-1)
+	}
+	d, err := assemble(man.N, f.byProc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,8 +2,7 @@ package node
 
 import (
 	"bufio"
-	"errors"
-	"net"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -12,16 +11,22 @@ import (
 )
 
 // relaySession is the coordinator's per-relay stream state: the outer
-// sequence of the relay's uplink session (RelayBatch frames, resumable
-// exactly like a node stream) plus fan-in accounting for statusz. The
+// session of the relay's uplink (RelayBatch frames, resumable exactly
+// like a node stream) plus fan-in accounting for statusz. The
 // per-origin inner sessions live in c.sessions as always — a relay is
 // transport, not identity.
 type relaySession struct {
 	index int
 
+	// ingestMu holds admission of an uplink frame and the ingest of
+	// every inner frame it carries as one step, and orders handshakes
+	// against it: a resumed uplink's first batch must not overtake the
+	// tail of a batch its predecessor is still unpacking, or an origin
+	// would see its inner frames out of order.
+	ingestMu sync.Mutex
+
 	mu      sync.Mutex
-	owner   *coordConn
-	lastSeq uint64 // highest contiguous outer (uplink) sequence
+	sess    session
 	frames  uint64 // RelayBatch frames accepted
 	items   uint64 // inner frames unpacked from them
 	origins map[int]bool
@@ -52,198 +57,105 @@ func (c *Coordinator) attachRelay(index int, conn *coordConn) {
 	}
 }
 
-// handleRelay serves one relay uplink: RelayHello handshake (the
+// handleRelay serves one relay uplink: the RelayHello handshake (the
 // relay-flavored Resume — the ack's Cum is the outer sequence, and the
-// decision replay is what the relay caches for its children), then
-// sequence-checked ingest of RelayBatch frames, each unpacked into
-// per-origin inner frames that flow through the very same
-// session-dedup-and-stage path a direct node stream takes.
-func (c *Coordinator) handleRelay(conn *coordConn, br *bufio.Reader, rawConn net.Conn, h wire.RelayHello) {
-	if int(h.N) != c.n || h.Relay < 0 || h.Relays < 1 || h.Relay >= h.Relays {
-		c.logf("coordinator: bad relay hello %#v", h)
-		return
-	}
-	index := int(h.Relay)
+// decision replay is what the relay caches for its children), then the
+// shared read loop, each admitted RelayBatch unpacked into per-origin
+// inner frames that flow through the very same admit-and-stage path a
+// direct node stream takes.
+func (c *Coordinator) handleRelay(conn *coordConn, br *bufio.Reader, index int, h wire.RelayHello) {
 	rs := c.relaySession(index)
+	rs.ingestMu.Lock()
+	c.shutdownMu.Lock()
+	d := c.decisionsLocked()
 	rs.mu.Lock()
-	rs.owner = conn
-	if !h.Resume {
-		// A fresh relay process: its uplink session log starts over, so
-		// the outer numbering resets. The per-origin inner sessions are
-		// untouched — the children kept their capture logs, and their
-		// full replays dedup below by inner sequence.
-		rs.lastSeq = 0
-	}
-	cum := rs.lastSeq
+	_, replies := rs.sess.handshake(conn, 0, h, d)
 	rs.mu.Unlock()
 	c.attachRelay(index, conn)
-
-	// Same consistency contract as a node Resume: the ack and the
-	// replayed decisions reflect one decision state, unraced by new
-	// broadcasts.
-	c.shutdownMu.Lock()
-	c.mu.Lock()
-	epoch := c.epoch
-	c.mu.Unlock()
-	err := conn.writeFrame(c.opt, wire.ResumeAck{Cum: cum, Epoch: epoch})
-	if err == nil {
-		if last := c.lastReExecDetection(); last != nil {
-			err = conn.writeFrame(c.opt, wire.Detection{
-				Epoch: last.Epoch, Node: int32(last.Node),
-				AtNs: last.AtNs, Cut: last.Cut,
-			})
-		}
-	}
-	if err == nil && c.shutdown {
-		err = conn.writeFrame(c.opt, wire.Shutdown{Epoch: epoch})
-	}
-	if err == nil && c.committed {
-		err = conn.writeFrame(c.opt, wire.Commit{})
-	}
+	err := conn.writeFrames(c.opt, replies)
 	c.shutdownMu.Unlock()
+	rs.ingestMu.Unlock()
 	if err != nil {
 		c.logf("coordinator: relay %d: handshake: %v", index, err)
 		return
 	}
-
-	for {
-		rawConn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		body, err := wire.ReadRawBody(br)
-		if err != nil {
-			select {
-			case <-c.closed:
-			default:
-				if !errors.Is(err, net.ErrClosed) {
-					c.logf("coordinator: relay %d stream: %v", index, err)
-				}
-			}
-			return
-		}
-		c.rootFrames.Add(1)
-		c.rootBytes.Add(int64(len(body) + 4))
-		seq, m, err := wire.DecodeBody(body)
-		if err != nil {
-			c.logf("coordinator: relay %d: %v", index, err)
-			return
-		}
-		batch, ok := m.(wire.RelayBatch)
-		if !ok {
-			c.logf("coordinator: relay %d: unexpected %T", index, m)
-			continue
-		}
-		rs.mu.Lock()
-		if rs.owner != conn {
-			rs.mu.Unlock()
-			return
-		}
-		switch {
-		case seq <= rs.lastSeq:
-			// Uplink resume replay overlap: the whole batch was already
-			// unpacked (inner dedup would drop it anyway, but dropping the
-			// outer duplicate is cheaper and keeps the accounting honest).
-			rs.mu.Unlock()
-			continue
-		case seq == rs.lastSeq+1:
-			rs.lastSeq = seq
-			rs.frames++
-			rs.items += uint64(len(batch.Frames))
-			rs.lastAt = time.Now()
-			for _, f := range batch.Frames {
-				rs.origins[int(f.Origin)] = true
-			}
-			rs.mu.Unlock()
-		default:
-			rs.mu.Unlock()
-			c.logf("coordinator: relay %d: sequence gap (%d after %d); dropping connection for resume",
-				index, seq, rs.lastSeq)
-			return
-		}
-		for _, f := range batch.Frames {
-			act, e := c.ingestRelayed(rs, f)
-			switch act {
-			case actAllDone:
-				c.broadcastShutdown(e)
-			case actAllByes:
-				c.commitRun(e)
-			case actDetected:
-				c.fireDetection(int(f.Origin))
-			}
-		}
-	}
+	serveStream(conn.Conn, br, c.closed, c.logf, fmt.Sprintf("coordinator: relay %d", index),
+		func(_ byte, seq uint64, body []byte) error {
+			c.countFrame(body)
+			return c.ingestUplink(rs, conn, seq, body)
+		})
 }
 
-// ingestRelayed unpacks one relayed inner frame into its origin's
-// session: the same owner-free dedup a direct stream gets, except the
-// inner sequence may jump forward — relay-side coalescing (snapshot
-// folding, epoch discards) legally removes frames from the middle of a
-// child's stream, so only the monotonicity matters, not contiguity.
-func (c *Coordinator) ingestRelayed(rs *relaySession, f wire.RelayFrame) (ingestAction, uint32) {
+// ingestUplink admits one uplink frame of relay rs arriving on from
+// (nil skips the ownership check) and ingests every inner frame of the
+// RelayBatch it carries.
+func (c *Coordinator) ingestUplink(rs *relaySession, from *coordConn, seq uint64, body []byte) error {
+	_, m, err := wire.DecodeBody(body)
+	if err != nil {
+		return err
+	}
+	batch, ok := m.(wire.RelayBatch)
+	if !ok {
+		return fmt.Errorf("unexpected %T on a relay uplink", m)
+	}
+	rs.ingestMu.Lock()
+	defer rs.ingestMu.Unlock()
+	rs.mu.Lock()
+	v := rs.sess.admit(from, seq)
+	last := rs.sess.lastSeq
+	if v == next {
+		rs.frames++
+		rs.items += uint64(len(batch.Frames))
+		rs.lastAt = time.Now()
+		for _, f := range batch.Frames {
+			rs.origins[int(f.Origin)] = true
+		}
+	}
+	rs.mu.Unlock()
+	if v != next {
+		return verdictErr(v, seq, last)
+	}
+	for _, f := range batch.Frames {
+		c.ingestRelayed(rs.index, f)
+	}
+	return nil
+}
+
+// ingestRelayed runs one relayed inner frame through its origin's
+// session exactly as a direct frame: a Hello through the handshake
+// (the root stays the sole owner of the restart decision — its
+// per-origin attached bit survives relay crashes, so a node relaunch
+// behind a relay still voids the epoch; the relay replays its cached
+// decisions to the child itself), anything else through admitStage.
+// Relays forward child frames verbatim and in order, so a relayed gap
+// means capture was lost between a child and the root: it fails the
+// run.
+func (c *Coordinator) ingestRelayed(relay int, f wire.RelayFrame) {
 	origin := int(f.Origin)
 	if origin < 0 || origin >= c.n {
-		c.logf("coordinator: relay %d: frame for unknown origin %d", rs.index, origin)
-		return actNone, 0
-	}
-	kind, iseq, err := wire.PeekBody(f.Body)
-	if err != nil {
-		c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
-		return actNone, 0
-	}
-	st := c.session(origin)
-	if kind == wire.KindHello {
-		c.relayedHello(st, iseq)
-		return actNone, 0
-	}
-	st.ingestMu.Lock()
-	st.mu.Lock()
-	if iseq <= st.lastSeq {
-		// Relay-crash replay overlap: the relaunched relay acked Cum=0
-		// and the child retransmitted its whole session log.
-		st.mu.Unlock()
-		st.ingestMu.Unlock()
-		return actNone, 0
-	}
-	st.lastSeq = iseq
-	st.mu.Unlock()
-	_, m, err := wire.DecodeBody(f.Body)
-	if err != nil {
-		st.ingestMu.Unlock()
-		c.logf("coordinator: relay %d: origin %d: %v", rs.index, origin, err)
-		return actNone, 0
-	}
-	act, e := c.ingestStored(st, m, f.Body)
-	st.ingestMu.Unlock()
-	return act, e
-}
-
-// relayedHello runs the Hello decision for a relayed origin — the same
-// fresh-vs-rejoin logic handleNode runs for a direct one, minus the
-// targeted catch-up writes (the relay replays its cached decisions to
-// the child locally). The root stays the sole owner of the restart
-// decision: its per-origin attached bit survives relay crashes, so a
-// node relaunch behind a relay still voids the epoch.
-func (c *Coordinator) relayedHello(st *nodeSession, iseq uint64) {
-	c.shutdownMu.Lock()
-	st.ingestMu.Lock()
-	st.mu.Lock()
-	rejoin := st.attached
-	if rejoin && c.committed {
-		st.mu.Unlock()
-		st.ingestMu.Unlock()
-		c.shutdownMu.Unlock()
-		c.logf("coordinator: node %d rejoined after commit (via relay); refused", st.id)
+		c.logf("coordinator: relay %d: frame for unknown origin %d", relay, origin)
 		return
 	}
-	st.attached = true
-	st.resetLocked(iseq)
-	if c.store != nil {
-		c.store.Discard(int32(st.id))
+	iseq, m, err := wire.DecodeBody(f.Body)
+	if err == nil {
+		st := c.session(origin)
+		if _, ok := m.(wire.Hello); ok {
+			c.shutdownMu.Lock()
+			v, _ := c.openLocked(st, nil, iseq, m)
+			if v == rejoin {
+				c.restartClusterLocked(origin)
+			}
+			c.shutdownMu.Unlock()
+			if v == refused {
+				c.logf("coordinator: node %d rejoined after commit (via relay); refused", origin)
+			}
+			return
+		}
+		err = c.admitStage(st, nil, iseq, m, f.Body)
 	}
-	st.mu.Unlock()
-	st.ingestMu.Unlock()
-	if rejoin {
-		c.restartClusterLocked(st.id)
+	if err != nil {
+		c.fail(fmt.Errorf("node: coordinator: origin %d via relay %d: %w", origin, relay, err))
 	}
-	c.shutdownMu.Unlock()
 }
 
 // CoordRelayStatus is one relay's row in CoordStatus — the fan-in tree
@@ -278,7 +190,7 @@ func (c *Coordinator) relayStatusRows(now time.Time) []CoordRelayStatus {
 		rs.mu.Lock()
 		row := CoordRelayStatus{
 			Relay: rs.index, FanIn: len(rs.origins),
-			Frames: rs.frames, Items: rs.items, LastSeq: rs.lastSeq,
+			Frames: rs.frames, Items: rs.items, LastSeq: rs.sess.lastSeq,
 			LagMs: -1,
 		}
 		if !rs.lastAt.IsZero() {
