@@ -106,7 +106,7 @@ func TestDialCoordWaitsForSlowCoordinator(t *testing.T) {
 
 	opt := chaosTimeouts().withDefaults()
 	begin := time.Now()
-	cc, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
+	cc, err := dialCoord(addr, 0, 2, false, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord gave up on a slow coordinator: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestDialCoordDeadline(t *testing.T) {
 	opt.CoordDeadline = 100 * time.Millisecond
 	opt = opt.withDefaults()
 	begin := time.Now()
-	if _, err := dialCoord(addr, 0, 2, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf); err == nil {
+	if _, err := dialCoord(addr, 0, 2, false, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf); err == nil {
 		t.Fatal("dialCoord reached a dead address")
 	}
 	if waited := time.Since(begin); waited > 2*time.Second {
@@ -162,7 +162,7 @@ func TestCoordClientResumesAfterStreamBreak(t *testing.T) {
 	defer ln.Close()
 
 	opt := chaosTimeouts().withDefaults()
-	cc, err := dialCoord(ln.Addr().String(), 1, 3, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
+	cc, err := dialCoord(ln.Addr().String(), 1, 3, false, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
 	if err != nil {
 		t.Fatalf("dialCoord: %v", err)
 	}

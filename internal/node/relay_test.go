@@ -212,7 +212,7 @@ func runScripted(t *testing.T, n int, relays, killRelay bool, storeDir string) (
 
 	ccs := make([]*coordClient, n)
 	for i := 0; i < n; i++ {
-		cc, err := dialCoord(addr, i, n, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
+		cc, err := dialCoord(addr, i, n, false, Batching{}, newWireMeters(nil, "coord", nil), opt, nil, t.Logf)
 		if err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
