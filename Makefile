@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke
+.PHONY: all build vet test race check bench bench-mem bench-mem-baseline baseline bench-cluster bench-chaos chaos-smoke bench-slice slice-smoke bench-obs bench-live live-smoke bench-relay relay-smoke loc
 
 all: check
 
@@ -24,6 +24,14 @@ check: build vet race
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# Non-test line count per internal/ package (wc -l over the package's
+# .go files other than *_test.go), the figure CHANGES.md and ROADMAP.md
+# quote for code-size changes.
+loc:
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$${d%/}" "$$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | wc -l)"; \
+	done
 
 # Allocation gate: run the allocs-per-run pin tests, then re-measure the
 # memory sweep and diff it against the committed BENCH_memory.json

@@ -174,85 +174,23 @@ func (x *Extended) Concurrent(s, t deposet.StateID) bool {
 // Consistent reports whether g is a consistent global state of the
 // controlled computation. Every such cut is also consistent in the
 // underlying computation (control only removes behaviours).
-func (x *Extended) Consistent(g deposet.Cut) bool {
-	n := x.d.NumProcs()
-	for j := 0; j < n; j++ {
-		v := x.vc.Row(j, g[j])
-		for i := 0; i < n; i++ {
-			if i != j && int(v[i]) >= g[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (x *Extended) Consistent(g deposet.Cut) bool { return x.vc.Consistent(g) }
 
 // ForEachConsistentCut enumerates the consistent global states of the
 // controlled computation in BFS lattice order; see the deposet analogue.
 func (x *Extended) ForEachConsistentCut(f func(deposet.Cut) bool) {
-	n := x.d.NumProcs()
-	start := x.d.BottomCut()
-	if !x.Consistent(start) {
-		return
-	}
-	seen := map[string]bool{start.Key(): true}
-	queue := []deposet.Cut{start}
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		if !f(g) {
-			return
-		}
-		for p := 0; p < n; p++ {
-			if g[p]+1 >= x.d.Len(p) {
-				continue
-			}
-			h := g.Clone()
-			h[p]++
-			if key := h.Key(); !seen[key] && x.Consistent(h) {
-				seen[key] = true
-				queue = append(queue, h)
-			}
-		}
-	}
+	deposet.EachConsistentCut(x.vc, f)
 }
 
 // SomeSequence returns one global sequence of the controlled computation
 // — the paper's "simulating a run of the strategy" (§4): a satisfying
 // control strategy yields a satisfying global sequence this way. A valid
 // controlled deposet always has one; single-step, smallest process first.
-func (x *Extended) SomeSequence() deposet.Sequence {
-	g := x.d.BottomCut()
-	seq := deposet.Sequence{g.Clone()}
-	top := x.d.TopCut()
-	for !g.Equal(top) {
-		advanced := false
-		for p := range g {
-			if g[p] < top[p] {
-				g[p]++
-				if x.Consistent(g) {
-					seq = append(seq, g.Clone())
-					advanced = true
-					break
-				}
-				g[p]--
-			}
-		}
-		if !advanced {
-			// Cannot happen when the relation does not interfere.
-			panic("control: stuck constructing a global sequence of a controlled deposet")
-		}
-	}
-	return seq
-}
+func (x *Extended) SomeSequence() deposet.Sequence { return deposet.SomeSequence(x.vc) }
 
 // CountConsistentCuts returns the number of consistent global states of
 // the controlled computation.
-func (x *Extended) CountConsistentCuts() int {
-	c := 0
-	x.ForEachConsistentCut(func(deposet.Cut) bool { c++; return true })
-	return c
-}
+func (x *Extended) CountConsistentCuts() int { return deposet.CountConsistentCuts(x.vc) }
 
 // Interferes reports whether rel creates a causal cycle on d.
 func Interferes(d *deposet.Deposet, rel Relation) bool {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"predctl/internal/vclock"
 )
 
 // Cut is a global state: one local state index per process. Cut[p] = k
@@ -83,18 +85,7 @@ func (d *Deposet) InRange(g Cut) bool {
 // frontier states are pairwise concurrent. Using the vector-clock
 // convention, g is consistent iff for all i ≠ j, vc[j][g[j]][i] < g[i]
 // (no frontier state causally precedes another).
-func (d *Deposet) Consistent(g Cut) bool {
-	n := d.NumProcs()
-	for j := 0; j < n; j++ {
-		v := d.clocks.Row(j, g[j])
-		for i := 0; i < n; i++ {
-			if i != j && int(v[i]) >= g[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (d *Deposet) Consistent(g Cut) bool { return d.clocks.Consistent(g) }
 
 // States returns the frontier states selected by g.
 func (d *Deposet) States(g Cut) []StateID {
@@ -110,10 +101,18 @@ func (d *Deposet) States(g Cut) []StateID {
 // Enumeration stops early if f returns false. The number of consistent
 // cuts can be exponential in n; this is intended for small computations
 // (exhaustive verification, debugging).
-func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) {
-	n := d.NumProcs()
-	start := d.BottomCut()
-	if !d.Consistent(start) {
+func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) { EachConsistentCut(d.clocks, f) }
+
+// CountConsistentCuts returns the size of the lattice Gc.
+func (d *Deposet) CountConsistentCuts() int { return CountConsistentCuts(d.clocks) }
+
+// EachConsistentCut is ForEachConsistentCut for any computation given
+// by its state clocks — the deposet's own, or the extended clocks of a
+// controlled computation.
+func EachConsistentCut(clocks *vclock.Arena, f func(Cut) bool) {
+	n := clocks.N()
+	start := make(Cut, n)
+	if !clocks.Consistent(start) {
 		// ⊥ is always consistent in a valid deposet; defensive.
 		return
 	}
@@ -126,12 +125,12 @@ func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) {
 			return
 		}
 		for p := 0; p < n; p++ {
-			if g[p]+1 >= d.lens[p] {
+			if g[p]+1 >= clocks.Len(p) {
 				continue
 			}
 			h := g.Clone()
 			h[p]++
-			if key := h.Key(); !seen[key] && d.Consistent(h) {
+			if key := h.Key(); !seen[key] && clocks.Consistent(h) {
 				seen[key] = true
 				queue = append(queue, h)
 			}
@@ -139,10 +138,11 @@ func (d *Deposet) ForEachConsistentCut(f func(Cut) bool) {
 	}
 }
 
-// CountConsistentCuts returns the size of the lattice Gc.
-func (d *Deposet) CountConsistentCuts() int {
+// CountConsistentCuts returns the number of consistent global states of
+// the computation whose state clocks are clocks.
+func CountConsistentCuts(clocks *vclock.Arena) int {
 	c := 0
-	d.ForEachConsistentCut(func(Cut) bool { c++; return true })
+	EachConsistentCut(clocks, func(Cut) bool { c++; return true })
 	return c
 }
 
@@ -187,16 +187,26 @@ func (d *Deposet) ValidateSequence(seq Sequence) error {
 // SomeSequence returns one global sequence of d (advancing a single
 // process per step, chosen smallest-first). A valid deposet always has
 // one. Useful as a linearization and in tests.
-func (d *Deposet) SomeSequence() Sequence {
-	g := d.BottomCut()
+func (d *Deposet) SomeSequence() Sequence { return SomeSequence(d.clocks) }
+
+// SomeSequence is Deposet.SomeSequence for any computation given by its
+// state clocks — a deposet's own, or the extended clocks of a controlled
+// computation. It panics if the clocks admit no single-step sequence,
+// which a valid computation or a non-interfering control relation rules
+// out.
+func SomeSequence(clocks *vclock.Arena) Sequence {
+	g := make(Cut, clocks.N())
 	seq := Sequence{g.Clone()}
-	top := d.TopCut()
+	top := make(Cut, len(g))
+	for p := range top {
+		top[p] = clocks.Len(p) - 1
+	}
 	for !g.Equal(top) {
 		advanced := false
 		for p := range g {
 			if g[p] < top[p] {
 				g[p]++
-				if d.Consistent(g) {
+				if clocks.Consistent(g) {
 					seq = append(seq, g.Clone())
 					advanced = true
 					break

@@ -8,6 +8,10 @@
 //     global sequence pass through a state satisfying ∧qᵢ? This is the
 //     interval-overlap condition of the paper's Lemma 2, and with
 //     qᵢ = ¬lᵢ it decides infeasibility of disjunctive control.
+//   - IntervalQueues: weak conjunctive detection on-line, over true
+//     intervals reported with vector clocks as a run proceeds (the
+//     simulator monitor's checker process and the cluster's live
+//     checker). All three run one elimination kernel (kernel.go).
 //   - PossiblyGeneral / AllViolations / SGSD: general predicates. Those
 //     in the regular fragment (predicate.IsRegular) dispatch to the
 //     computation slice (internal/slice) and run in polynomial time; the

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"sort"
-	"sync"
 
 	"predctl/internal/deposet"
 	"predctl/internal/par"
@@ -49,176 +48,105 @@ func viewStates(v deposet.View) int {
 	return total
 }
 
-// roundScratch is the pooled per-call working state of the sharded
-// frontier scans: a candidate cursor per process, a flag per process,
-// and a per-worker status slot. Detection calls borrow one, so repeated
-// detections allocate only their result.
-type roundScratch struct {
-	cur  []int
-	flag []bool
-	dead []bool
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(roundScratch) }}
-
-// getScratch returns a scratch with cur/flag sized (and zeroed) for n
-// processes and dead sized for the worker count.
-func getScratch(n, workers int) *roundScratch {
-	s := scratchPool.Get().(*roundScratch)
-	if cap(s.cur) < n {
-		s.cur = make([]int, n)
-		s.flag = make([]bool, n)
-	}
-	s.cur = s.cur[:n]
-	s.flag = s.flag[:n]
-	for i := range s.cur {
-		s.cur[i] = 0
-		s.flag[i] = false
-	}
-	if cap(s.dead) < workers {
-		s.dead = make([]bool, workers)
-	}
-	s.dead = s.dead[:workers]
-	for i := range s.dead {
-		s.dead[i] = false
-	}
-	return s
-}
-
-func putScratch(s *roundScratch) { scratchPool.Put(s) }
-
-// PossiblyTruthPar is PossiblyTruth with the candidate-elimination scan
-// sharded across workers.
-//
-// Both variants compute the same least fixed point: the minimal cut
-// where every process sits at a holds-state and no frontier state
-// causally precedes another. The sequential loop retires one doomed
-// candidate per iteration; here each round flags, in parallel shards of
-// the O(n²) pair scan, *every* process whose candidate causally
-// precedes some other candidate, then advances all of them at once — a
-// flagged candidate can never join any consistent cut with the later
-// candidates, so batched advancement preserves the invariant (this is
-// the round structure of Garg's work-optimal parallel detection). With
-// one worker it falls through to the sequential implementation.
+// PossiblyTruthPar is PossiblyTruth with the elimination rounds sharded
+// across workers; with one worker (the sequential PossiblyTruth) every
+// round runs inline. Each process's front starts at its first
+// holds-state; a front that causally precedes another front can join no
+// consistent cut with it or with its successors, so eliminate retires
+// it for the process's next holds-state. The result is the least fixed
+// point: the minimal cut where every process sits at a holds-state and
+// no frontier state causally precedes another.
 func PossiblyTruthPar(v deposet.View, holds HoldsFn, opts Par) (deposet.Cut, bool) {
 	n := v.NumProcs()
-	workers := opts.resolve(viewStates(v))
-	if workers == 1 {
-		return PossiblyTruth(v, holds)
-	}
-	loop := par.NewLoop(n, workers)
-	defer loop.Close()
-	s := getScratch(n, loop.Workers())
-	defer putScratch(s)
-	cur, flag, dead := s.cur, s.flag, s.dead
-	seek := func(p int) bool {
-		for cur[p] < v.Len(p) && !holds(p, cur[p]) {
-			cur[p]++
-		}
-		return cur[p] < v.Len(p)
-	}
-	loop.Round(n, func(w, lo, hi int) {
-		for p := lo; p < hi; p++ {
-			if !seek(p) {
-				dead[w] = true
-				return
-			}
-		}
-	})
-	for _, d := range dead {
-		if d {
+	f := stateFronts{v: v, holds: holds, cur: make(deposet.Cut, n)}
+	for p := 0; p < n; p++ {
+		if !f.seek(p) {
 			return nil, false
 		}
 	}
-	for {
-		loop.Round(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				si := deposet.StateID{P: i, K: cur[i]}
-				flag[i] = false
-				for j := 0; j < n; j++ {
-					if i != j && v.HB(si, deposet.StateID{P: j, K: cur[j]}) {
-						flag[i] = true
-						break
-					}
-				}
-			}
-		})
-		advanced := false
-		for i := 0; i < n; i++ {
-			if flag[i] {
-				cur[i]++
-				if !seek(i) {
-					return nil, false
-				}
-				advanced = true
-			}
-		}
-		if !advanced {
-			return append(deposet.Cut(nil), cur...), true
-		}
+	loop := par.NewLoop(n, opts.resolve(viewStates(v)))
+	defer loop.Close()
+	var buf [stackRulers]int
+	if !eliminate(loop, rulers(buf[:], n), f) {
+		return nil, false
 	}
+	return f.cur, true
+}
+
+// stateFronts are PossiblyTruthPar's fronts: the candidate state cur[p]
+// of every process.
+type stateFronts struct {
+	v     deposet.View
+	holds HoldsFn
+	cur   deposet.Cut
+}
+
+func (f stateFronts) ruledOut(i, j int) bool {
+	return f.v.HB(deposet.StateID{P: i, K: f.cur[i]}, deposet.StateID{P: j, K: f.cur[j]})
+}
+
+func (f stateFronts) next(i int) bool {
+	f.cur[i]++
+	return f.seek(i)
+}
+
+// seek moves cur[p] to the first holds-state at or after it, reporting
+// false when p has none.
+func (f stateFronts) seek(p int) bool {
+	for f.cur[p] < f.v.Len(p) && !f.holds(p, f.cur[p]) {
+		f.cur[p]++
+	}
+	return f.cur[p] < f.v.Len(p)
 }
 
 // DefinitelyTruthPar is DefinitelyTruth with the interval extraction
-// and the Lemma 2 overlap scan sharded across workers.
-//
-// The frontier of one candidate interval per process is advanced in
-// rounds: a round flags, in parallel shards over j, every interval Iⱼ
-// falsifying the overlap clause against some frontier Iᵢ. Such an
-// interval can never overlap Iᵢ or any later interval of i (interval
-// starts only move causally later), so it is dead no matter what the
-// other processes do, and batched advancement reaches the same least
-// fixed point the sequential one-at-a-time loop does.
+// and the elimination rounds sharded across workers; with one worker
+// (the sequential DefinitelyTruth) everything runs inline. Each
+// process's front is one of its holds-intervals. A front Iⱼ falsifying
+// the overlap clause against some front Iᵢ can never overlap Iᵢ or any
+// later interval of i (interval starts only move causally later), so
+// eliminate retires it for j's next interval. The surviving fronts
+// pairwise satisfy the overlap clause — the paper's Lemma 2 witness.
 func DefinitelyTruthPar(v deposet.View, holds HoldsFn, opts Par) ([]deposet.Interval, bool) {
 	n := v.NumProcs()
-	workers := opts.resolve(viewStates(v))
-	if workers == 1 {
-		return DefinitelyTruth(v, holds)
-	}
-	loop := par.NewLoop(n, workers)
+	loop := par.NewLoop(n, opts.resolve(viewStates(v)))
 	defer loop.Close()
 	ivs := make([][]deposet.Interval, n)
-	loop.Each(n, func(p int) {
-		ivs[p] = truthIntervals(v, p, holds)
-	})
+	truthIntervalsOn(loop, ivs, v, holds)
 	for p := 0; p < n; p++ {
 		if len(ivs[p]) == 0 {
 			return nil, false
 		}
 	}
-	s := getScratch(n, loop.Workers())
-	defer putScratch(s)
-	cur, flag := s.cur, s.flag
-	for {
-		loop.Round(n, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				flag[j] = false
-				for i := 0; i < n; i++ {
-					if i != j && !OverlapsView(v, ivs[i][cur[i]], ivs[j][cur[j]]) {
-						flag[j] = true
-						break
-					}
-				}
-			}
-		})
-		advanced := false
-		for j := 0; j < n; j++ {
-			if flag[j] {
-				cur[j]++
-				if cur[j] == len(ivs[j]) {
-					return nil, false
-				}
-				advanced = true
-			}
-		}
-		if !advanced {
-			witness := make([]deposet.Interval, n)
-			for p := 0; p < n; p++ {
-				witness[p] = ivs[p][cur[p]]
-			}
-			return witness, true
-		}
+	f := intervalFronts{v: v, ivs: ivs, cur: make([]int, n)}
+	var buf [stackRulers]int
+	if !eliminate(loop, rulers(buf[:], n), f) {
+		return nil, false
 	}
+	witness := make([]deposet.Interval, n)
+	for p := range witness {
+		witness[p] = f.front(p)
+	}
+	return witness, true
+}
+
+// intervalFronts are DefinitelyTruthPar's fronts: interval ivs[p][cur[p]]
+// of every process.
+type intervalFronts struct {
+	v   deposet.View
+	ivs [][]deposet.Interval
+	cur []int
+}
+
+func (f intervalFronts) front(p int) deposet.Interval { return f.ivs[p][f.cur[p]] }
+
+func (f intervalFronts) ruledOut(i, j int) bool {
+	return !OverlapsView(f.v, f.front(j), f.front(i))
+}
+
+func (f intervalFronts) next(i int) bool {
+	f.cur[i]++
+	return f.cur[i] < len(f.ivs[i])
 }
 
 // TruthIntervalsInto fills dst[p] with the maximal runs where holds is
@@ -227,17 +155,22 @@ func DefinitelyTruthPar(v deposet.View, holds HoldsFn, opts Par) ([]deposet.Inte
 // NumProcs entries. The off-line controller uses it to extract
 // false-intervals by negating its local predicates.
 func TruthIntervalsInto(dst [][]deposet.Interval, v deposet.View, opts Par, holds HoldsFn) {
-	n := v.NumProcs()
-	workers := opts.resolve(viewStates(v))
-	if workers == 1 {
-		for p := 0; p < n; p++ {
+	loop := par.NewLoop(len(dst), opts.resolve(viewStates(v)))
+	defer loop.Close()
+	truthIntervalsOn(loop, dst, v, holds)
+}
+
+// truthIntervalsOn is TruthIntervalsInto on an existing loop. Only a
+// sharded loop gets a closure, so the inline path allocates nothing but
+// the interval lists.
+func truthIntervalsOn(loop *par.Loop, dst [][]deposet.Interval, v deposet.View, holds HoldsFn) {
+	if loop.Workers() == 1 {
+		for p := range dst {
 			dst[p] = truthIntervals(v, p, holds)
 		}
 		return
 	}
-	loop := par.NewLoop(n, workers)
-	defer loop.Close()
-	loop.Each(n, func(p int) {
+	loop.Each(len(dst), func(p int) {
 		dst[p] = truthIntervals(v, p, holds)
 	})
 }

@@ -8,42 +8,9 @@ type HoldsFn func(p, k int) bool
 // PossiblyTruth is PossiblyConjunctive generalized over any causal view
 // (plain or controlled computation) with the conjuncts given as a truth
 // function. Processes are "constant true" wherever holds returns true.
+// It is PossiblyTruthPar with one worker.
 func PossiblyTruth(v deposet.View, holds HoldsFn) (deposet.Cut, bool) {
-	n := v.NumProcs()
-	cur := make(deposet.Cut, n)
-	seek := func(p int) bool {
-		for cur[p] < v.Len(p) && !holds(p, cur[p]) {
-			cur[p]++
-		}
-		return cur[p] < v.Len(p)
-	}
-	for p := 0; p < n; p++ {
-		if !seek(p) {
-			return nil, false
-		}
-	}
-	for {
-		advanced := false
-		for i := 0; i < n && !advanced; i++ {
-			si := deposet.StateID{P: i, K: cur[i]}
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				if v.HB(si, deposet.StateID{P: j, K: cur[j]}) {
-					cur[i]++
-					if !seek(i) {
-						return nil, false
-					}
-					advanced = true
-					break
-				}
-			}
-		}
-		if !advanced {
-			return cur, true
-		}
-	}
+	return PossiblyTruthPar(v, holds, Par{Workers: 1})
 }
 
 // OverlapsView is the overlap clause of Overlaps evaluated on any causal
@@ -74,39 +41,8 @@ func truthIntervals(v deposet.View, p int, holds HoldsFn) []deposet.Interval {
 }
 
 // DefinitelyTruth is DefinitelyConjunctive generalized over any causal
-// view with the conjuncts given as a truth function.
+// view with the conjuncts given as a truth function. It is
+// DefinitelyTruthPar with one worker.
 func DefinitelyTruth(v deposet.View, holds HoldsFn) ([]deposet.Interval, bool) {
-	n := v.NumProcs()
-	ivs := make([][]deposet.Interval, n)
-	for p := 0; p < n; p++ {
-		ivs[p] = truthIntervals(v, p, holds)
-		if len(ivs[p]) == 0 {
-			return nil, false
-		}
-	}
-	cur := make([]int, n)
-	for {
-		advanced := false
-	pairs:
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j || OverlapsView(v, ivs[i][cur[i]], ivs[j][cur[j]]) {
-					continue
-				}
-				cur[j]++
-				if cur[j] == len(ivs[j]) {
-					return nil, false
-				}
-				advanced = true
-				break pairs
-			}
-		}
-		if !advanced {
-			witness := make([]deposet.Interval, n)
-			for p := 0; p < n; p++ {
-				witness[p] = ivs[p][cur[p]]
-			}
-			return witness, true
-		}
-	}
+	return DefinitelyTruthPar(v, holds, Par{Workers: 1})
 }

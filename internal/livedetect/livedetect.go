@@ -5,10 +5,11 @@
 // re-execution through it) without waiting for the run to finish.
 //
 // Detection is two-stage. The streaming stage is the Garg–Waldecker
-// weak-conjunction checker of internal/monitor lifted to the cluster:
-// one queue of candidate intervals per node, the elimination loop
-// dropping any interval that wholly precedes another queue's front,
-// a trigger when the fronts are pairwise overlappable. The candidate
+// weak-conjunction checker the simulator monitor also runs
+// (detect.IntervalQueues), lifted to the cluster: one queue of
+// candidate intervals per node, the shared elimination dropping any
+// interval that wholly precedes another queue's front, a trigger when
+// the fronts are pairwise overlappable. The candidate
 // vector clocks are node-level, and the node-shared clock induces
 // causality the captured computation does not have (an app event and a
 // later controller send on the same node are clock-ordered even with
@@ -32,16 +33,16 @@
 // slips past the coordinator's sequence dedup).
 package livedetect
 
-import "sync"
+import (
+	"sync"
+
+	"predctl/internal/detect"
+)
 
 // Interval is one maximal true-interval of a node's local predicate
 // component of ¬B (a wire.Candidate): endpoints as node-level vector
 // clocks plus the traced state indices of the app process.
-type Interval struct {
-	Proc         int
-	LoIdx, HiIdx int64
-	Lo, Hi       []int32
-}
+type Interval = detect.ClockInterval
 
 // Checker is the streaming GW stage. All methods are safe for
 // concurrent use; the coordinator calls Offer from per-connection
@@ -50,7 +51,7 @@ type Checker struct {
 	mu        sync.Mutex
 	n         int
 	epoch     uint32
-	queues    [][]Interval
+	queues    *detect.IntervalQueues
 	lastHi    []int64 // per-proc newest accepted HiIdx (replay dedup)
 	triggered bool    // GW fronts pairwise overlappable, awaiting prefix confirmation
 	confirmed bool    // prefix-confirmed detection recorded for this epoch
@@ -58,20 +59,22 @@ type Checker struct {
 	trig      Interval // the offered interval that completed the witness
 	trigSet   bool
 
-	offered, droppedN, staleN int64
+	offered, staleN int64
 }
 
 // New returns a checker for an n-node cluster, armed for epoch 0.
 func New(n int) *Checker {
-	c := &Checker{n: n}
+	c := &Checker{n: n, queues: detect.NewIntervalQueues(n), lastHi: make([]int64, n)}
 	c.reset(0)
 	return c
 }
 
 func (c *Checker) reset(epoch uint32) {
 	c.epoch = epoch
-	c.queues = make([][]Interval, c.n)
-	c.lastHi = make([]int64, c.n)
+	c.queues.Reset()
+	for p := range c.lastHi {
+		c.lastHi[p] = -1 // state 0 is a valid interval end
+	}
 	c.triggered = false
 	c.confirmed = false
 	c.witness = nil
@@ -92,11 +95,12 @@ func (c *Checker) Reset(epoch uint32) {
 // It returns true when the caller should run (or re-run) the prefix
 // confirmation: either this interval just made the GW fronts pairwise
 // overlappable, or a trigger is still pending confirmation and new
-// evidence has arrived. Stale-epoch offers and replays are dropped.
+// evidence has arrived. Stale-epoch offers, intervals of unknown nodes
+// or with malformed clocks, and replays are dropped as stale.
 func (c *Checker) Offer(epoch uint32, iv Interval) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epoch || iv.Proc < 0 || iv.Proc >= c.n {
+	if epoch != c.epoch || iv.Proc < 0 || iv.Proc >= c.n || len(iv.Lo) != c.n || len(iv.Hi) != c.n {
 		c.staleN++
 		return false
 	}
@@ -112,54 +116,12 @@ func (c *Checker) Offer(epoch uint32, iv Interval) bool {
 	if c.triggered {
 		return true // retry confirmation on the grown prefix
 	}
-	c.queues[iv.Proc] = append(c.queues[iv.Proc], iv)
-	c.advance()
-	if c.triggered && !c.trigSet {
+	if c.queues.Offer(iv) {
+		c.triggered = true
+		c.witness = c.queues.Fronts()
 		c.trig, c.trigSet = iv, true // this offer completed the witness
 	}
 	return c.triggered
-}
-
-// advance runs the GW elimination loop (internal/monitor's advance):
-// drop any front interval that wholly precedes another queue's front;
-// trigger when every queue is non-empty and no drop applies. Caller
-// holds c.mu.
-func (c *Checker) advance() {
-	for {
-		for i := 0; i < c.n; i++ {
-			if len(c.queues[i]) == 0 {
-				return // need more candidates before a verdict
-			}
-		}
-		dropped := false
-		for i := 0; i < c.n && !dropped; i++ {
-			for j := 0; j < c.n; j++ {
-				if i == j {
-					continue
-				}
-				lo, hi := c.queues[j][0].Lo, c.queues[i][0].Hi
-				if i >= len(lo) || i >= len(hi) {
-					continue // malformed clock; never grounds a drop
-				}
-				// Iᵢ wholly precedes Iⱼ: Iᵢ's last state causally
-				// precedes Iⱼ's first.
-				if lo[i] >= hi[i] {
-					c.queues[i] = c.queues[i][1:]
-					c.droppedN++
-					dropped = true
-					break
-				}
-			}
-		}
-		if !dropped {
-			c.triggered = true
-			c.witness = make([]Interval, c.n)
-			for i := 0; i < c.n; i++ {
-				c.witness[i] = c.queues[i][0]
-			}
-			return
-		}
-	}
 }
 
 // Pending reports whether a trigger for epoch awaits confirmation.
@@ -230,11 +192,7 @@ func (c *Checker) Witness() []Interval {
 func (c *Checker) Depth() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := 0
-	for _, q := range c.queues {
-		d += len(q)
-	}
-	return d
+	return c.queues.Depth()
 }
 
 // Stats returns cumulative offer accounting: intervals accepted,
@@ -243,5 +201,5 @@ func (c *Checker) Depth() int {
 func (c *Checker) Stats() (offered, dropped, stale int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.offered, c.droppedN, c.staleN
+	return c.offered, c.queues.Dropped(), c.staleN
 }

@@ -1,8 +1,11 @@
 package livedetect
 
 import (
+	"math/rand"
 	"testing"
 
+	"predctl/internal/deposet"
+	"predctl/internal/detect"
 	"predctl/internal/predicate"
 	"predctl/internal/wire"
 )
@@ -73,6 +76,74 @@ func TestCheckerEpochDiscardAndReplayDedup(t *testing.T) {
 	c.Offer(1, iv(0, 1, 2, []int32{1, 0}, []int32{2, 0}))
 	if !c.Offer(1, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2})) {
 		t.Fatal("fresh-epoch intervals must trigger")
+	}
+}
+
+func TestCheckerRejectsMalformedClocks(t *testing.T) {
+	c := New(2)
+	// Candidate clocks come off the wire unchecked: a clockless interval
+	// must not reach the queues, let alone complete a witness.
+	if c.Offer(0, Interval{Proc: 0, LoIdx: 1, HiIdx: 2}) {
+		t.Fatal("clockless interval triggered")
+	}
+	if c.Offer(0, iv(1, 1, 2, []int32{0, 1}, []int32{0, 2})) {
+		t.Fatal("one well-formed queue must not trigger")
+	}
+	if offered, _, stale := c.Stats(); offered != 1 || stale != 1 {
+		t.Fatalf("offered=%d stale=%d, want 1 and 1", offered, stale)
+	}
+	if c.Depth() != 1 {
+		t.Fatalf("depth = %d, want 1", c.Depth())
+	}
+}
+
+func TestCheckerAcceptsIntervalEndingAtStateZero(t *testing.T) {
+	c := New(2)
+	c.Offer(0, iv(0, 0, 0, []int32{0, -1}, []int32{0, -1}))
+	if _, _, stale := c.Stats(); stale != 0 || c.Depth() != 1 {
+		t.Fatalf("interval [0..0] dropped as a replay: stale=%d depth=%d", stale, c.Depth())
+	}
+}
+
+// Property: fed the maximal truth intervals of a computation, with the
+// computation's own clocks, in any interleaving that keeps each
+// process's order, the checker triggers exactly when offline detection
+// finds a consistent cut where every local predicate holds.
+func TestCheckerMatchesOfflineDetectionProperty(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(4)
+		d := deposet.Random(r, deposet.DefaultGen(n, 6+r.Intn(30)))
+		truth := deposet.RandomTruth(r, d, 0.3+0.5*r.Float64())
+		holds := func(p, k int) bool { return truth[p][k] }
+		pending := make([][]Interval, n)
+		for p := range pending {
+			for _, x := range d.FalseIntervals(p, func(k int) bool { return !truth[p][k] }) {
+				pending[p] = append(pending[p], Interval{
+					Proc: p, LoIdx: int64(x.Lo), HiIdx: int64(x.Hi),
+					Lo: d.Clock(x.LoState()), Hi: d.Clock(x.HiState()),
+				})
+			}
+		}
+		c := New(n)
+		triggered := false
+		for {
+			var ready []int
+			for p := range pending {
+				if len(pending[p]) > 0 {
+					ready = append(ready, p)
+				}
+			}
+			if len(ready) == 0 {
+				break
+			}
+			p := ready[r.Intn(len(ready))]
+			triggered = c.Offer(0, pending[p][0]) || triggered
+			pending[p] = pending[p][1:]
+		}
+		if _, want := detect.PossiblyTruth(d, holds); triggered != want {
+			t.Fatalf("seed %d: checker triggered=%v, offline possibly=%v", seed, triggered, want)
+		}
 	}
 }
 

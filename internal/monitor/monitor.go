@@ -10,9 +10,10 @@
 // maintained by the Probe wrapper and piggybacked on every message) and
 // report each maximal interval in which their local predicate holds to a
 // checker process, as a pair of clocks (interval start, interval end).
-// The checker advances one candidate interval per process: if interval
-// Iᵢ ends causally before Iⱼ begins (vc(loⱼ)[i] ≥ vc(hiᵢ)[i]), the two
-// can never be simultaneous, and — since later intervals of j start even
+// The checker feeds them to detect.IntervalQueues, the elimination the
+// cluster's live checker and offline detection share: if interval Iᵢ
+// ends causally before Iⱼ begins (vc(loⱼ)[i] ≥ vc(hiᵢ)[i]), the two can
+// never be simultaneous, and — since later intervals of j start even
 // later — Iᵢ can be discarded. When the current intervals are pairwise
 // overlappable, the weak-conjunctive-predicate theorem guarantees a
 // consistent global state where every qᵢ holds, and the checker reports
@@ -22,6 +23,7 @@ package monitor
 import (
 	"fmt"
 
+	"predctl/internal/detect"
 	"predctl/internal/obs"
 	"predctl/internal/sim"
 	"predctl/internal/vclock"
@@ -40,15 +42,7 @@ type envelope struct {
 	kind  payloadKind
 	vc    vclock.VC // sender's clock at send time (piggybacked)
 	inner any
-	cand  candidate
-}
-
-// candidate is one maximal true-interval of a local predicate.
-type candidate struct {
-	proc   int
-	lo, hi vclock.VC // clocks at the interval's first and last state
-	loIdx  int       // traced state index of the interval's first state
-	hiIdx  int
+	cand  detect.ClockInterval
 }
 
 // Detection is the checker's verdict.
@@ -57,14 +51,14 @@ type Detection struct {
 	// Intervals holds the pairwise-overlappable witness intervals (per
 	// process) when Found; LoIdx/HiIdx are traced state indices usable
 	// against the run's deposet.
-	Intervals []candidate
+	Intervals []detect.ClockInterval
 }
 
 // LoCut returns the witness interval-start state indices per process.
 func (d *Detection) LoCut() []int {
 	cut := make([]int, len(d.Intervals))
 	for i, c := range d.Intervals {
-		cut[i] = c.loIdx
+		cut[i] = int(c.LoIdx)
 	}
 	return cut
 }
@@ -182,12 +176,12 @@ func (pr *Probe) emit(hiIdx int) {
 		})
 	}
 	pr.m.candidates.Inc()
-	pr.p.Send(pr.checker, envelope{kind: kindCandidate, cand: candidate{
-		proc:  pr.p.ID(),
-		lo:    pr.lo,
-		hi:    hi,
-		loIdx: pr.loIdx,
-		hiIdx: hiIdx,
+	pr.p.Send(pr.checker, envelope{kind: kindCandidate, cand: detect.ClockInterval{
+		Proc:  pr.p.ID(),
+		LoIdx: int64(pr.loIdx),
+		HiIdx: int64(hiIdx),
+		Lo:    pr.lo,
+		Hi:    hi,
 	}})
 }
 
@@ -246,71 +240,28 @@ func RunObs(cfg sim.Config, reg *obs.Registry, labels []obs.Label, apps []func(*
 
 // runChecker is the centralized Garg–Waldecker checker.
 func runChecker(p *sim.Proc, n int, det *Detection, m monMeters) {
-	queues := make([][]candidate, n)
-	done := make([]bool, n)
-	doneCount := 0
-	for doneCount < n && !det.Found {
-		from, raw := p.Recv()
+	q := detect.NewIntervalQueues(n)
+	for done := 0; done < n && !det.Found; {
+		_, raw := p.Recv()
 		env := raw.(envelope)
 		switch env.kind {
 		case kindCandidate:
-			queues[env.cand.proc] = append(queues[env.cand.proc], env.cand)
+			dropped := q.Dropped()
+			det.Found = q.Offer(env.cand)
+			m.drops.Add(q.Dropped() - dropped)
 		case kindDone:
-			done[from] = true
-			doneCount++
+			done++
 		default:
 			panic(fmt.Sprintf("monitor: checker received %v", env.kind))
 		}
-		advance(queues, det, m.drops)
+	}
+	if det.Found {
+		det.Intervals = q.Fronts()
 	}
 	// Remaining messages are drained by the kernel; the checker's verdict
 	// is final once every process reported done or a witness was found.
 	p.Daemon()
 	for {
 		p.Recv()
-	}
-}
-
-// debugLog, when set by tests, receives checker decisions.
-var debugLog func(string, ...any)
-
-// advance runs the candidate-elimination loop: discard any interval that
-// wholly precedes another process's current interval; report when the
-// fronts are pairwise overlappable. drops counts eliminations.
-func advance(queues [][]candidate, det *Detection, drops *obs.Counter) {
-	n := len(queues)
-	for {
-		for i := 0; i < n; i++ {
-			if len(queues[i]) == 0 {
-				return // need more candidates before a verdict
-			}
-		}
-		dropped := false
-		for i := 0; i < n && !dropped; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				// Iᵢ wholly precedes Iⱼ: Iᵢ's last state causally
-				// precedes Iⱼ's first.
-				if queues[j][0].lo[i] >= queues[i][0].hi[i] {
-					if debugLog != nil {
-						debugLog("drop P%d %+v because P%d lo=%v", i, queues[i][0], j, queues[j][0].lo)
-					}
-					queues[i] = queues[i][1:]
-					drops.Inc()
-					dropped = true
-					break
-				}
-			}
-		}
-		if !dropped {
-			det.Found = true
-			det.Intervals = make([]candidate, n)
-			for i := 0; i < n; i++ {
-				det.Intervals[i] = queues[i][0]
-			}
-			return
-		}
 	}
 }

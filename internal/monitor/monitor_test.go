@@ -134,11 +134,11 @@ func TestMonitorMatchesOfflineDetectionProperty(t *testing.T) {
 		if det.Found {
 			// Witness intervals must be genuinely q-true in the trace.
 			for p, c := range det.Intervals {
-				for k := c.loIdx; k <= c.hiIdx; k++ {
+				for k := int(c.LoIdx); k <= int(c.HiIdx); k++ {
 					v, ok := tr.D.Var(deposet.StateID{P: p, K: k}, "q")
 					if !ok || v != 1 {
 						t.Logf("seed %d: witness P%d[%d..%d] not q-true at %d",
-							seed, p, c.loIdx, c.hiIdx, k)
+							seed, p, c.LoIdx, c.HiIdx, k)
 						return false
 					}
 				}

@@ -86,7 +86,8 @@ func ForEach(n, workers int, fn func(i int)) {
 // are spawned once and reused for every round, so a multi-round parallel
 // scan (detection frontiers, clock-construction passes) pays goroutine
 // startup and closure allocation once per loop instead of once per
-// round. With one worker every round runs inline, like ForShard.
+// round. With one worker NewLoop returns nil, and a nil *Loop runs
+// every round inline, like ForShard, without allocating.
 type Loop struct {
 	workers int
 	n       int
@@ -97,13 +98,14 @@ type Loop struct {
 
 // NewLoop spawns the workers of a round-synchronous loop. workers is
 // resolved like Workers against shardHint, an upper bound on the item
-// counts the rounds will use. The caller must Close the loop.
+// counts the rounds will use; with one worker it is nil, which runs
+// rounds inline. The caller must Close the loop.
 func NewLoop(shardHint, workers int) *Loop {
 	workers = Workers(workers, shardHint)
-	l := &Loop{workers: workers}
 	if workers == 1 {
-		return l
+		return nil
 	}
+	l := &Loop{workers: workers}
 	l.start = make([]chan struct{}, workers)
 	l.done = make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
@@ -121,14 +123,19 @@ func NewLoop(shardHint, workers int) *Loop {
 }
 
 // Workers returns the resolved worker count of the loop.
-func (l *Loop) Workers() int { return l.workers }
+func (l *Loop) Workers() int {
+	if l == nil {
+		return 1
+	}
+	return l.workers
+}
 
 // Round partitions [0, n) into the loop's shards and runs fn(w, lo, hi)
 // on every worker, returning after all complete. As with ForShard, fn
 // must confine writes to data owned by its shard; the send/receive pairs
 // give the same happens-before edges a spawn-and-wait barrier would.
 func (l *Loop) Round(n int, fn func(w, lo, hi int)) {
-	if l.workers == 1 {
+	if l == nil {
 		fn(0, 0, n)
 		return
 	}
@@ -153,6 +160,9 @@ func (l *Loop) Each(n int, fn func(i int)) {
 // Close terminates the worker goroutines. The loop must not be used
 // afterwards; Close must not race a Round.
 func (l *Loop) Close() {
+	if l == nil {
+		return
+	}
 	for _, ch := range l.start {
 		close(ch)
 	}

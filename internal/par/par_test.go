@@ -80,6 +80,28 @@ func TestForShardInlineWhenSequential(t *testing.T) {
 	}
 }
 
+func TestLoopInlineWhenSequential(t *testing.T) {
+	// One worker needs no pool: the nil loop runs rounds on the calling
+	// goroutine, and Close is a no-op.
+	l := NewLoop(10, 1)
+	if l != nil || l.Workers() != 1 {
+		t.Fatalf("NewLoop(10, 1) = %v with %d workers, want nil and 1", l, l.Workers())
+	}
+	defer l.Close()
+	sum := 0
+	l.Round(10, func(w, lo, hi int) {
+		if w != 0 || lo != 0 || hi != 10 {
+			t.Fatalf("inline round = (%d, %d, %d)", w, lo, hi)
+		}
+		for i := lo; i < hi; i++ {
+			sum += i
+		}
+	})
+	if sum != 45 {
+		t.Fatalf("sum = %d", sum)
+	}
+}
+
 func TestForEachZeroItems(t *testing.T) {
 	called := false
 	ForEach(0, 4, func(int) { called = true })

@@ -45,3 +45,27 @@ func (a *Arena) Row(p, k int) VC {
 func (a *Arena) Component(p, k, q int) int32 {
 	return a.data[(a.off[p]+k)*a.n+q]
 }
+
+// Len returns the number of states of process p.
+func (a *Arena) Len(p int) int {
+	end := len(a.data) / a.n
+	if p+1 < a.n {
+		end = a.off[p+1]
+	}
+	return end - a.off[p]
+}
+
+// Consistent reports whether the global state g (g[p] selects state
+// (p, g[p])) is consistent: no selected state causally precedes
+// another, i.e. Row(j, g[j])[i] < g[i] for all i ≠ j.
+func (a *Arena) Consistent(g []int) bool {
+	for j := 0; j < a.n; j++ {
+		v := a.Row(j, g[j])
+		for i, c := range v {
+			if i != j && int(c) >= g[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
